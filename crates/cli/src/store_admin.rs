@@ -10,27 +10,9 @@
 
 use std::time::Duration;
 
-use transyt_store::{RecoveredJob, RecoveredStatus, Store};
+use transyt_store::Store;
 
 use crate::commands::CliError;
-
-fn status_word(job: &RecoveredJob) -> &'static str {
-    match job.status {
-        RecoveredStatus::Queued => "queued",
-        RecoveredStatus::Running => "running",
-        RecoveredStatus::Done { .. } => {
-            if job.evicted {
-                "done (evicted)"
-            } else {
-                "done"
-            }
-        }
-        RecoveredStatus::Failed => "failed",
-        RecoveredStatus::Cancelled => "cancelled",
-        RecoveredStatus::TimedOut => "timed_out",
-        RecoveredStatus::BudgetExceeded { .. } => "budget_exceeded",
-    }
-}
 
 /// `transyt store ls`: a read-only listing of a data dir — stored models,
 /// stored results, the replayed job table and the journal's health.
@@ -72,9 +54,10 @@ pub fn cmd_ls(data_dir: &str) -> Result<(), CliError> {
     println!("jobs ({}):", inspection.jobs.len());
     for job in &inspection.jobs {
         println!(
-            "  #{} {} {} @ {}",
+            "  #{} {}{} {} @ {}",
             job.id,
-            status_word(job),
+            job.status,
+            if job.evicted { " (evicted)" } else { "" },
             job.command,
             job.model
         );

@@ -619,6 +619,48 @@ fn event_streams_are_identical_across_thread_counts() {
     handle.shutdown().expect("graceful shutdown");
 }
 
+/// A job cancelled mid-`reach` carries no `error` field, live or after a
+/// restart. The cancelled expansion surfaces from the session as an error,
+/// but only a failed job has a message, and the journal's `cancel` line
+/// carries none, so the replayed document agrees with the live one.
+#[test]
+fn cancelled_jobs_carry_no_error_live_or_after_replay() {
+    let dir = std::env::temp_dir().join(format!("transyt-cancel-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 1,
+        data_dir: Some(dir.to_str().unwrap().to_owned()),
+        fsync: false,
+        ..ServerConfig::default()
+    };
+    let (handle, addr) = start_server_with(config.clone());
+    // The 4-stage pipeline's 960,000 markings keep the expansion busy.
+    let big = upload(&addr, &model_text("ipcmos_4stage.stg"));
+    let job = submit(&addr, &format!("model={big}&command=reach"));
+    wait_for(&addr, job, |s| s == "running", "running");
+    let (status, body) =
+        client::request(&addr, "POST", &format!("/jobs/{job}/cancel"), None).unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(wait_for(&addr, job, terminal, "terminal"), "cancelled");
+    let job_body = |addr: &str| {
+        let (status, body) = client::request(addr, "GET", &format!("/jobs/{job}"), None).unwrap();
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+    let live = job_body(&addr);
+    assert!(!live.contains("\"error\""), "{live}");
+    handle.shutdown().expect("graceful shutdown");
+
+    let (handle, addr) = start_server_with(config);
+    let replayed = job_body(&addr);
+    assert!(replayed.contains("\"recovered\":true"), "{replayed}");
+    assert_eq!(job_status(&addr, job), "cancelled");
+    assert!(!replayed.contains("\"error\""), "{replayed}");
+    handle.shutdown().expect("graceful shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The data-dir lock: while one server owns a data dir, a second server
 /// refuses to start on it (the lock file names the owning pid).
 #[test]

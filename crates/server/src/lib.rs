@@ -59,7 +59,8 @@ mod sys;
 pub use explore::CancelToken;
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use state::{
-    content_hash, CachedModel, GateStats, JobStatus, JobView, PersistenceInfo, ResultStoreConfig,
-    ServerState, SubmitError,
+    content_hash, CachedModel, GateStats, JobView, PersistenceInfo, ResultStoreConfig, ServerState,
+    SubmitError,
 };
 pub use transyt_gate::{GateConfig, Priority};
+pub use transyt_store::JobStatus;

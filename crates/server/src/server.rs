@@ -1,7 +1,7 @@
 //! The HTTP front end: socket handling, routing and the worker pool.
 
 use std::io::{self, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -11,7 +11,8 @@ use transyt_gate::{GateConfig, Priority};
 use transyt_session::{Session, TaskSpec};
 
 use crate::http::{Request, Response};
-use crate::state::{JobStatus, JobView, ResultStoreConfig, ServerState, SubmitError};
+use crate::state::{JobView, ResultStoreConfig, ServerState, SubmitError};
+use crate::JobStatus;
 
 /// Configuration of a [`Server`].
 #[derive(Debug, Clone)]
@@ -89,6 +90,7 @@ impl ServerHandle {
     /// Initiates a graceful shutdown and waits for the server to finish.
     pub fn shutdown(self) -> io::Result<()> {
         self.state.shutdown();
+        wake(self.addr);
         self.thread.join().expect("server thread panicked")
     }
 }
@@ -149,10 +151,27 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from the accept loop.
+    /// Propagates socket errors from the accept loop, after the same
+    /// graceful shutdown.
     pub fn run(self) -> io::Result<()> {
         crate::sys::install_shutdown_signals();
-        self.run_inner(true)
+        // The accept loop blocks, so a watcher turns a signal into the same
+        // shutdown plus wake-up connection `POST /shutdown` uses.
+        let state = Arc::clone(&self.state);
+        let addr = self.addr;
+        let watcher = thread::spawn(move || {
+            while !state.is_shutdown() {
+                if crate::sys::signal_received() {
+                    state.shutdown();
+                    wake(addr);
+                    return;
+                }
+                thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let served = self.run_inner();
+        watcher.join().expect("signal watcher panicked");
+        served
     }
 
     /// Runs the server on a background thread (no signal handlers — for
@@ -160,7 +179,7 @@ impl Server {
     pub fn spawn(self) -> ServerHandle {
         let state = Arc::clone(&self.state);
         let addr = self.addr;
-        let thread = thread::spawn(move || self.run_inner(false));
+        let thread = thread::spawn(move || self.run_inner());
         ServerHandle {
             state,
             addr,
@@ -168,39 +187,54 @@ impl Server {
         }
     }
 
-    fn run_inner(self, watch_signals: bool) -> io::Result<()> {
+    fn run_inner(self) -> io::Result<()> {
         let mut workers = Vec::with_capacity(self.workers);
         for _ in 0..self.workers {
             let state = Arc::clone(&self.state);
             workers.push(thread::spawn(move || state.worker_loop()));
         }
 
-        // Non-blocking accept so the loop can observe shutdown (from a
-        // signal or `POST /shutdown`) without another connection arriving.
-        self.listener.set_nonblocking(true)?;
-        loop {
-            if self.state.is_shutdown() || (watch_signals && crate::sys::signal_received()) {
+        // Blocking accept, so a request is handed off the moment it
+        // arrives. Whatever shuts the server down (a signal, `POST
+        // /shutdown`, `ServerHandle::shutdown`) sets the state's flag and
+        // then wakes this loop with a connection of its own.
+        let mut served = Ok(());
+        for stream in self.listener.incoming() {
+            if self.state.is_shutdown() {
                 break;
             }
-            match self.listener.accept() {
-                Ok((stream, _)) => {
+            match stream {
+                Ok(stream) => {
                     let state = Arc::clone(&self.state);
                     thread::spawn(move || handle_connection(&state, stream));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    thread::sleep(Duration::from_millis(20));
+                Err(e) => {
+                    served = Err(e);
+                    break;
                 }
-                Err(e) => return Err(e),
             }
         }
 
-        // Idempotent: cancels queued jobs and wakes idle workers.
+        // Idempotent: cancels queued jobs and wakes idle workers (and the
+        // signal watcher, after a socket error).
         self.state.shutdown();
         for worker in workers {
             worker.join().expect("worker thread panicked");
         }
-        Ok(())
+        served
     }
+}
+
+/// Unblocks the accept loop, which re-checks the shutdown flag after every
+/// connection it accepts.
+fn wake(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 fn handle_connection(state: &ServerState, stream: TcpStream) {
@@ -229,6 +263,12 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         Err(e) => error_response(400, &format!("bad request: {e}")),
     };
     let _ = response.write_to(&mut stream);
+    // `POST /shutdown` only flags the state: wake the blocked accept loop.
+    if state.is_shutdown() {
+        if let Ok(addr) = stream.local_addr() {
+            wake(addr);
+        }
+    }
 }
 
 /// Streams a job's event log as server-sent events (`data: <json>\n\n`
@@ -302,19 +342,21 @@ fn job_document(view: &JobView) -> Value {
     if view.recovered {
         doc = doc.field("recovered", true);
     }
-    if let Some((resource, used, limit)) = &view.breach {
-        doc = doc.field(
+    match &view.status {
+        JobStatus::BudgetExceeded {
+            resource,
+            used,
+            limit,
+        } => doc.field(
             "breach",
             Value::object()
                 .field("resource", resource.as_str())
                 .field("used", *used)
                 .field("limit", *limit),
-        );
+        ),
+        JobStatus::Failed { error } => doc.field("error", error.as_str()),
+        _ => doc,
     }
-    if let Some(error) = &view.error {
-        doc = doc.field("error", error.as_str());
-    }
-    doc
 }
 
 fn route(state: &ServerState, request: &Request) -> Response {
@@ -485,8 +527,8 @@ fn route(state: &ServerState, request: &Request) -> Response {
                 // The raw document, byte-identical to the CLI's --json file.
                 Some((_, Some(result))) => Response::json(200, result.document.clone()),
                 Some((view, None)) => {
-                    let reason = match view.status {
-                        JobStatus::Done if view.evicted => {
+                    let reason = match &view.status {
+                        JobStatus::Done { .. } if view.evicted => {
                             return error_response(
                                 410,
                                 &format!("job {} result evicted (LRU/TTL)", view.id),
@@ -497,14 +539,14 @@ fn route(state: &ServerState, request: &Request) -> Response {
                             view.id,
                             view.spec.deadline.unwrap_or_default()
                         ),
-                        JobStatus::BudgetExceeded => {
-                            let (resource, used, limit) =
-                                view.breach.clone().unwrap_or(("configs".to_owned(), 0, 0));
-                            format!(
-                                "job {} exceeded its {resource} budget (used {used}, limit {limit})",
-                                view.id
-                            )
-                        }
+                        JobStatus::BudgetExceeded {
+                            resource,
+                            used,
+                            limit,
+                        } => format!(
+                            "job {} exceeded its {resource} budget (used {used}, limit {limit})",
+                            view.id
+                        ),
                         status if status.is_terminal() => {
                             format!("job {} produced no document (status {status})", view.id)
                         }

@@ -19,54 +19,12 @@ use transyt_session::{
     Session, StoreHook, TaskKey, TaskResult, TaskSpec,
 };
 use transyt_store::{
-    DiskStats, JournalStats, Record, RecoveredJob, RecoveredStatus, Recovery, Store,
+    compaction_records, DiskStats, JobRecord, JobStatus, JournalStats, Record, Recovery, Store,
 };
 
 use crate::events::{render_progress, EventLog};
 
 pub use transyt_session::CachedModel;
-
-/// Lifecycle of a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobStatus {
-    /// Waiting in the FIFO queue.
-    Queued,
-    /// Claimed by a worker.
-    Running,
-    /// Finished with a document.
-    Done,
-    /// Finished with an error message.
-    Failed,
-    /// Cancelled before or while running.
-    Cancelled,
-    /// The job's deadline expired before the run finished.
-    TimedOut,
-    /// The job's resource budget (`max-configs` / `max-zone-bytes`) was
-    /// breached and the run aborted deterministically.
-    BudgetExceeded,
-}
-
-impl JobStatus {
-    /// Returns `true` once the job can no longer change state.
-    pub fn is_terminal(self) -> bool {
-        !matches!(self, JobStatus::Queued | JobStatus::Running)
-    }
-}
-
-impl fmt::Display for JobStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            JobStatus::Queued => "queued",
-            JobStatus::Running => "running",
-            JobStatus::Done => "done",
-            JobStatus::Failed => "failed",
-            JobStatus::Cancelled => "cancelled",
-            JobStatus::TimedOut => "timed_out",
-            JobStatus::BudgetExceeded => "budget_exceeded",
-        };
-        write!(f, "{name}")
-    }
-}
 
 /// A job's externally visible state.
 #[derive(Debug, Clone)]
@@ -79,14 +37,13 @@ pub struct JobView {
     pub key: TaskKey,
     /// The name of the model the job runs against.
     pub model_name: String,
-    /// Current lifecycle state.
+    /// Current lifecycle state (a failure's message and a budget breach's
+    /// triple ride in it).
     pub status: JobStatus,
     /// The shared result, once the job finished (also present for
     /// `Cancelled` / `TimedOut` jobs that produced a partial document —
     /// fetchable through `/text`, but not served as `/result`).
     pub result: Option<Arc<TaskResult>>,
-    /// The error message, once `status` is `Failed`.
-    pub error: Option<String>,
     /// `true` once the result store evicted this job's document (LRU cap or
     /// TTL).
     pub evicted: bool,
@@ -98,70 +55,66 @@ pub struct JobView {
     pub recovered: bool,
     /// The job's scheduling class.
     pub priority: Priority,
-    /// `(resource, used, limit)` of a budget breach, once `status` is
-    /// `BudgetExceeded`.
-    pub breach: Option<(String, usize, usize)>,
 }
 
 struct Job {
+    /// What the journal holds: the submission, the lifecycle state and the
+    /// eviction flag. Compaction writes it back as is.
+    record: JobRecord,
     spec: TaskSpec,
     key: TaskKey,
     model_name: String,
-    status: JobStatus,
     result: Option<Arc<TaskResult>>,
-    error: Option<String>,
-    evicted: bool,
     cancel: CancelToken,
     explored: Arc<AtomicUsize>,
     completed_at: Option<Instant>,
     recovered: bool,
     priority: Priority,
-    breach: Option<(String, usize, usize)>,
     events: Arc<EventLog>,
 }
 
 impl Job {
-    fn new(spec: TaskSpec, model_name: String, priority: Priority) -> Job {
+    fn new(record: JobRecord, spec: TaskSpec, model_name: String, priority: Priority) -> Job {
         Job {
+            record,
             key: spec.key(),
             spec,
             model_name,
-            status: JobStatus::Queued,
             result: None,
-            error: None,
-            evicted: false,
             cancel: CancelToken::new(),
             explored: Arc::new(AtomicUsize::new(0)),
             completed_at: None,
             recovered: false,
             priority,
-            breach: None,
             events: Arc::new(EventLog::new()),
         }
     }
 
-    fn view(&self, id: usize) -> JobView {
+    fn view(&self) -> JobView {
         JobView {
-            id,
+            id: self.record.id,
             spec: self.spec.clone(),
             key: self.key.clone(),
             model_name: self.model_name.clone(),
-            status: self.status,
+            status: self.record.status.clone(),
             result: self.result.clone(),
-            error: self.error.clone(),
-            evicted: self.evicted,
+            evicted: self.record.evicted,
             explored: self.explored.load(Ordering::Relaxed),
             recovered: self.recovered,
             priority: self.priority,
-            breach: self.breach.clone(),
         }
+    }
+
+    /// `true` for a `done` job whose document has not been evicted.
+    fn serves_result(&self) -> bool {
+        matches!(self.record.status, JobStatus::Done { .. }) && !self.record.evicted
     }
 
     /// Appends the terminal marker and seals the job's event stream.
     fn close_events(&self) {
         self.events.push(format!(
             "{{\"type\":\"terminal\",\"status\":\"{}\"}}",
-            self.status
+            self.record.status
         ));
         self.events.close();
     }
@@ -337,7 +290,6 @@ impl ServerState {
         let mut jobs: Vec<Job> = Vec::with_capacity(recovery.jobs.len());
         let mut queue = Gate::new(gate);
         for recovered in &recovery.jobs {
-            let id = jobs.len();
             let (spec, spec_error) = match TaskSpec::parse(&recovered.command, &recovered.params) {
                 Ok(spec) => (spec.for_model(&recovered.model), None),
                 // A journal from a future/older version: keep the job
@@ -352,61 +304,43 @@ impl ServerState {
             // applies, exactly as an unprioritized submission would get.
             let priority = Priority::parse(&recovered.prio).unwrap_or_default();
             let mut job = Job {
-                evicted: recovered.evicted,
                 recovered: true,
-                ..Job::new(spec, model_name, priority)
+                ..Job::new(recovered.clone(), spec, model_name, priority)
             };
-            match (&recovered.status, spec_error) {
-                (_, Some(error)) => {
-                    job.status = JobStatus::Failed;
-                    job.error = Some(format!("unrecoverable journaled spec: {error}"));
-                }
-                (RecoveredStatus::Queued | RecoveredStatus::Running, None) => {
+            if let Some(error) = spec_error {
+                job.record.status = JobStatus::Failed {
+                    error: format!("unrecoverable journaled spec: {error}"),
+                };
+            }
+            match &job.record.status {
+                JobStatus::Queued | JobStatus::Running => {
                     // Re-admitted in its journaled class, bypassing the
                     // depth check: the job was admitted before the restart.
-                    queue.enqueue_unchecked(id, priority);
+                    job.record.status = JobStatus::Queued;
+                    queue.enqueue_unchecked(job.record.id, priority);
                 }
-                (RecoveredStatus::Done { result }, None) => {
-                    job.status = JobStatus::Done;
-                    if !job.evicted {
-                        match persist.result(&job.key) {
-                            Some(doc) => {
-                                // Age the entry by the result file's mtime so
-                                // the TTL keeps counting across the restart.
-                                let age = persist.result_age(result).unwrap_or_default();
-                                job.completed_at = Some(now.checked_sub(age).unwrap_or(now));
-                                job.result = Some(Arc::new(TaskResult {
-                                    outcome: Ok(Outcome::Restored(RestoredOutcome {
-                                        model: job.model_name.clone(),
-                                        command: job.spec.command,
-                                    })),
-                                    text: doc.text,
-                                    document: doc.document,
-                                }));
-                            }
-                            None => job.evicted = true,
+                JobStatus::Done { result } if !job.record.evicted => {
+                    match persist.result(&job.key) {
+                        Some(doc) => {
+                            // Age the entry by the result file's mtime so the
+                            // TTL keeps counting across the restart.
+                            let age = persist.result_age(result).unwrap_or_default();
+                            job.completed_at = Some(now.checked_sub(age).unwrap_or(now));
+                            job.result = Some(Arc::new(TaskResult {
+                                outcome: Ok(Outcome::Restored(RestoredOutcome {
+                                    model: job.model_name.clone(),
+                                    command: job.spec.command,
+                                })),
+                                text: doc.text,
+                                document: doc.document,
+                            }));
                         }
+                        None => job.record.evicted = true,
                     }
                 }
-                (RecoveredStatus::Failed, None) => {
-                    job.status = JobStatus::Failed;
-                    job.error = recovered.error.clone();
-                }
-                (RecoveredStatus::Cancelled, None) => job.status = JobStatus::Cancelled,
-                (RecoveredStatus::TimedOut, None) => job.status = JobStatus::TimedOut,
-                (
-                    RecoveredStatus::BudgetExceeded {
-                        resource,
-                        used,
-                        limit,
-                    },
-                    None,
-                ) => {
-                    job.status = JobStatus::BudgetExceeded;
-                    job.breach = Some((resource.clone(), *used, *limit));
-                }
+                _ => {}
             }
-            if job.status.is_terminal() {
+            if job.record.status.is_terminal() {
                 // A terminal recovered job's event stream is already over:
                 // subscribers get the terminal marker immediately.
                 job.close_events();
@@ -453,7 +387,7 @@ impl ServerState {
                 let referenced: HashSet<String> = inner
                     .jobs
                     .iter()
-                    .filter(|job| job.status == JobStatus::Done && !job.evicted)
+                    .filter(|job| job.serves_result())
                     .map(|job| job.key.fingerprint())
                     .collect();
                 persist.remove_unreferenced(&referenced);
@@ -492,40 +426,7 @@ impl ServerState {
             .iter()
             .map(|m| m.hash.clone())
             .collect();
-        let jobs: Vec<RecoveredJob> = inner
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(id, job)| RecoveredJob {
-                id,
-                command: job.spec.command.name().to_owned(),
-                model: job.spec.model.clone(),
-                params: job.spec.to_params(),
-                prio: job.priority.name().to_owned(),
-                status: match job.status {
-                    JobStatus::Queued => RecoveredStatus::Queued,
-                    JobStatus::Running => RecoveredStatus::Running,
-                    JobStatus::Done => RecoveredStatus::Done {
-                        result: job.key.fingerprint(),
-                    },
-                    JobStatus::Failed => RecoveredStatus::Failed,
-                    JobStatus::Cancelled => RecoveredStatus::Cancelled,
-                    JobStatus::TimedOut => RecoveredStatus::TimedOut,
-                    JobStatus::BudgetExceeded => {
-                        let (resource, used, limit) =
-                            job.breach.clone().unwrap_or(("configs".to_owned(), 0, 0));
-                        RecoveredStatus::BudgetExceeded {
-                            resource,
-                            used,
-                            limit,
-                        }
-                    }
-                },
-                error: job.error.clone(),
-                evicted: job.evicted,
-            })
-            .collect();
-        Store::compaction_records(&models, &jobs)
+        compaction_records(&models, inner.jobs.iter().map(|job| &job.record))
     }
 
     /// Rewrites the journal to the compacted image once its size trigger
@@ -602,7 +503,7 @@ impl ServerState {
             let running = inner
                 .jobs
                 .iter()
-                .filter(|j| j.status == JobStatus::Running)
+                .filter(|j| j.record.status == JobStatus::Running)
                 .count();
             return Err(SubmitError::Busy {
                 retry_after: retry_after(&inner.recent, queued, running, self.workers),
@@ -614,14 +515,17 @@ impl ServerState {
         // `job` records in dense id order, so two racing submissions must
         // not interleave their appends. The record is also durable before
         // the id is revealed to the client.
-        self.journal(&Record::Job {
+        let record = JobRecord::submitted(
             id,
-            command: spec.command.name().to_owned(),
-            model: spec.model.clone(),
-            params: spec.to_params(),
-            prio: priority.name().to_owned(),
-        });
-        inner.jobs.push(Job::new(spec, model_name, priority));
+            spec.command.name(),
+            &spec.model,
+            spec.to_params(),
+            priority.name(),
+        );
+        self.journal(&record.submission());
+        inner
+            .jobs
+            .push(Job::new(record, spec, model_name, priority));
         let admitted = inner.queue.enqueue(id, priority);
         debug_assert!(admitted, "depth was checked above");
         drop(inner);
@@ -660,19 +564,14 @@ impl ServerState {
     pub fn job(&self, id: usize) -> Option<JobView> {
         let mut inner = self.lock();
         self.evict_expired(&mut inner);
-        inner.jobs.get(id).map(|job| job.view(id))
+        inner.jobs.get(id).map(Job::view)
     }
 
     /// All jobs, in submission order.
     pub fn jobs(&self) -> Vec<JobView> {
         let mut inner = self.lock();
         self.evict_expired(&mut inner);
-        inner
-            .jobs
-            .iter()
-            .enumerate()
-            .map(|(id, job)| job.view(id))
-            .collect()
+        inner.jobs.iter().map(Job::view).collect()
     }
 
     /// Ids of jobs whose result document has been evicted.
@@ -682,9 +581,8 @@ impl ServerState {
         inner
             .jobs
             .iter()
-            .enumerate()
-            .filter(|(_, job)| job.evicted)
-            .map(|(id, _)| id)
+            .filter(|job| job.record.evicted)
+            .map(|job| job.record.id)
             .collect()
     }
 
@@ -696,9 +594,8 @@ impl ServerState {
         let mut inner = self.lock();
         self.evict_expired(&mut inner);
         let job = inner.jobs.get(id)?;
-        let view = job.view(id);
-        let servable = job.status == JobStatus::Done && !job.evicted;
-        let result = servable.then(|| job.result.clone()).flatten();
+        let view = job.view();
+        let result = job.serves_result().then(|| job.result.clone()).flatten();
         if result.is_some() {
             inner.access.retain(|&j| j != id);
             inner.access.push(id);
@@ -713,16 +610,19 @@ impl ServerState {
     pub fn cancel(&self, id: usize) -> Option<JobStatus> {
         let mut inner = self.lock();
         let job = inner.jobs.get_mut(id)?;
-        match job.status {
+        match job.record.status {
             JobStatus::Queued => {
-                job.status = JobStatus::Cancelled;
+                job.record.status = JobStatus::Cancelled;
                 job.cancel.cancel();
                 job.close_events();
                 inner.queue.remove(id);
                 // A queued job's cancellation is its terminal record (a
                 // running one's is written by the worker when the run
                 // returns).
-                self.journal(&Record::Cancel { id });
+                self.journal(&Record::Status {
+                    id,
+                    status: JobStatus::Cancelled,
+                });
             }
             JobStatus::Running => {
                 // The worker observes the fired token when the run returns
@@ -731,21 +631,25 @@ impl ServerState {
             }
             _ => {}
         }
-        Some(inner.jobs[id].status)
+        Some(inner.jobs[id].record.status.clone())
     }
 
-    /// Asks the worker pool (and the accept loop polling
-    /// [`is_shutdown`](Self::is_shutdown)) to stop. Running jobs finish
-    /// (or observe their cancel token); queued jobs are cancelled.
+    /// Asks the worker pool (and the accept loop, which checks
+    /// [`is_shutdown`](Self::is_shutdown) after every connection) to stop.
+    /// Running jobs finish (or observe their cancel token); queued jobs are
+    /// cancelled.
     pub fn shutdown(&self) {
         let mut inner = self.lock();
         inner.shutdown = true;
         for id in inner.queue.drain() {
             let job = &mut inner.jobs[id];
-            if job.status == JobStatus::Queued {
-                job.status = JobStatus::Cancelled;
+            if job.record.status == JobStatus::Queued {
+                job.record.status = JobStatus::Cancelled;
                 job.close_events();
-                self.journal(&Record::Cancel { id });
+                self.journal(&Record::Status {
+                    id,
+                    status: JobStatus::Cancelled,
+                });
             }
         }
         drop(inner);
@@ -763,12 +667,12 @@ impl ServerState {
         let queued = inner
             .jobs
             .iter()
-            .filter(|j| j.status == JobStatus::Queued)
+            .filter(|j| j.record.status == JobStatus::Queued)
             .count();
         let running = inner
             .jobs
             .iter()
-            .filter(|j| j.status == JobStatus::Running)
+            .filter(|j| j.record.status == JobStatus::Running)
             .count();
         (queued, running)
     }
@@ -801,11 +705,11 @@ impl ServerState {
     /// survive a restart, so the job answers 410 afterwards instead of
     /// resurrecting.
     fn evict_one(&self, inner: &mut Inner, id: usize) {
-        let was_done = inner.jobs[id].status == JobStatus::Done;
+        let was_done = matches!(inner.jobs[id].record.status, JobStatus::Done { .. });
         let key = inner.jobs[id].key.clone();
         let job = &mut inner.jobs[id];
         job.result = None;
-        job.evicted = true;
+        job.record.evicted = true;
         inner.access.retain(|&j| j != id);
         if !was_done {
             // Partial documents of failed / cancelled / timed-out jobs are
@@ -813,9 +717,10 @@ impl ServerState {
             return;
         }
         if let Some(store) = &self.persist {
-            let shared = inner.jobs.iter().enumerate().any(|(other, job)| {
-                other != id && job.status == JobStatus::Done && !job.evicted && job.key == key
-            });
+            let shared = inner
+                .jobs
+                .iter()
+                .any(|job| job.record.id != id && job.serves_result() && job.key == key);
             if !shared {
                 store.remove_result(&key.fingerprint());
             }
@@ -823,27 +728,20 @@ impl ServerState {
         }
     }
 
-    /// Records a finished run (status, result, budget breach, duration for
-    /// the `Retry-After` estimator), seals the event stream, and enforces
-    /// the LRU cap.
+    /// Records a finished run (status, result, duration for the
+    /// `Retry-After` estimator), seals the event stream, and enforces the
+    /// LRU cap.
     fn finish(
         &self,
         id: usize,
         status: JobStatus,
         result: Option<Arc<TaskResult>>,
-        breach: Option<(String, usize, usize)>,
         elapsed: Duration,
     ) {
         let mut inner = self.lock();
         inner.recent.record(elapsed);
         let job = &mut inner.jobs[id];
-        job.status = status;
-        job.breach = breach;
-        if let Some(result) = &result {
-            if let Err(error) = &result.outcome {
-                job.error = Some(error.to_string());
-            }
-        }
+        job.record.status = status;
         job.result = result;
         job.completed_at = Some(Instant::now());
         job.close_events();
@@ -865,7 +763,7 @@ impl ServerState {
     /// an in-flight job attaches to that run instead of starting another.
     pub fn worker_loop(&self) {
         loop {
-            let (id, spec, cancel, explored, events) = {
+            let (id, spec, key, cancel, explored, events) = {
                 let mut inner = self.lock();
                 loop {
                     if inner.shutdown {
@@ -873,12 +771,13 @@ impl ServerState {
                     }
                     // Skip ids whose job was cancelled while queued.
                     match inner.queue.pop() {
-                        Some((id, _)) if inner.jobs[id].status == JobStatus::Queued => {
-                            inner.jobs[id].status = JobStatus::Running;
+                        Some((id, _)) if inner.jobs[id].record.status == JobStatus::Queued => {
+                            inner.jobs[id].record.status = JobStatus::Running;
                             let job = &inner.jobs[id];
                             break (
                                 id,
                                 job.spec.clone(),
+                                job.key.clone(),
                                 job.cancel.clone(),
                                 Arc::clone(&job.explored),
                                 Arc::clone(&job.events),
@@ -892,7 +791,10 @@ impl ServerState {
             // A `run` record turns "queued at the crash" into "running at
             // the crash" — recovery re-enqueues both, but operators see
             // which jobs actually lost work.
-            self.journal(&Record::Run { id });
+            self.journal(&Record::Status {
+                id,
+                status: JobStatus::Running,
+            });
             events.push("{\"type\":\"running\"}".to_owned());
             let started = Instant::now();
 
@@ -918,95 +820,62 @@ impl ServerState {
                 },
             );
 
-            let (status, breach, result) = match completion {
+            let (status, result) = match completion {
                 // Attached to a shared run and cancelled out of it.
-                Completion::Detached => (JobStatus::Cancelled, None, None),
-                Completion::Finished(result) => match &result.outcome {
-                    // The deadline watchdog fires the job's own token, so
-                    // the timeout classification must precede the cancel
-                    // check.
-                    Ok(Outcome::TimedOut(_)) => (JobStatus::TimedOut, None, Some(result)),
-                    // The budget watchdog fires the token too, and must
-                    // also win the cancel check: a breached budget is a
-                    // distinct, reportable terminal state.
-                    Ok(Outcome::BudgetExceeded(exceeded)) => {
-                        let breach = exceeded.breach;
-                        (
-                            JobStatus::BudgetExceeded,
-                            Some((breach.resource.name().to_owned(), breach.used, breach.limit)),
-                            Some(result),
-                        )
-                    }
-                    _ if cancel.is_cancelled() => {
-                        // Cancel wins any race with completion: a fired
-                        // token means the client asked for the job to stop,
-                        // and an interrupted run returns a *partial*
-                        // document that must not be served as the job's
-                        // result. Whatever output exists stays fetchable
-                        // through the /text endpoint.
-                        (JobStatus::Cancelled, None, Some(result))
-                    }
-                    Ok(outcome) if outcome.was_cancelled() => {
+                Completion::Detached => (JobStatus::Cancelled, None),
+                Completion::Finished(result) => {
+                    let status = match &result.outcome {
+                        // The deadline watchdog fires the job's own token, so
+                        // the timeout classification must precede the cancel
+                        // check.
+                        Ok(Outcome::TimedOut(_)) => JobStatus::TimedOut,
+                        // The budget watchdog fires the token too, and must
+                        // also win the cancel check: a breached budget is a
+                        // distinct, reportable terminal state.
+                        Ok(Outcome::BudgetExceeded(exceeded)) => JobStatus::BudgetExceeded {
+                            resource: exceeded.breach.resource.name().to_owned(),
+                            used: exceeded.breach.used,
+                            limit: exceeded.breach.limit,
+                        },
+                        // Cancel wins any race with completion: a fired token
+                        // means the client asked for the job to stop, and an
+                        // interrupted run returns a *partial* document that
+                        // must not be served as the job's result. Whatever
+                        // output exists stays fetchable through the /text
+                        // endpoint.
+                        _ if cancel.is_cancelled() => JobStatus::Cancelled,
                         // A shared run another job cancelled: duplicates
                         // share its fate.
-                        (JobStatus::Cancelled, None, Some(result))
-                    }
-                    Ok(_) => (JobStatus::Done, None, Some(result)),
-                    // Same sharing for cancellations that surface as errors
-                    // (e.g. a cancelled `reach` expansion).
-                    Err(transyt_session::SessionError::Cancelled) => {
-                        (JobStatus::Cancelled, None, Some(result))
-                    }
-                    Err(_) => (JobStatus::Failed, None, Some(result)),
-                },
-            };
-            if let Some(store) = &self.persist {
-                let record = match status {
-                    JobStatus::Done => {
-                        // The session's hook already persisted the document
-                        // before publishing the result; this re-save is the
-                        // heal path for a file lost between then and now
-                        // (e.g. a re-run after a disk-side eviction).
-                        let key = spec.key();
-                        if let Some(result) = &result {
-                            if let Err(e) =
-                                store.save_result_if_absent(&key, &result.text, &result.document)
-                            {
-                                eprintln!("transyt-server: persisting result of job {id}: {e}");
-                            }
-                        }
-                        Some(Record::Done {
-                            id,
+                        Ok(outcome) if outcome.was_cancelled() => JobStatus::Cancelled,
+                        Ok(_) => JobStatus::Done {
                             result: key.fingerprint(),
-                        })
-                    }
-                    JobStatus::Failed => Some(Record::Fail {
-                        id,
-                        error: result
-                            .as_ref()
-                            .and_then(|r| r.outcome.as_ref().err())
-                            .map(|e| e.to_string())
-                            .unwrap_or_default(),
-                    }),
-                    JobStatus::Cancelled => Some(Record::Cancel { id }),
-                    JobStatus::TimedOut => Some(Record::Timeout { id }),
-                    JobStatus::BudgetExceeded => {
-                        let (resource, used, limit) =
-                            breach.clone().unwrap_or(("configs".to_owned(), 0, 0));
-                        Some(Record::Budget {
-                            id,
-                            resource,
-                            used,
-                            limit,
-                        })
-                    }
-                    JobStatus::Queued | JobStatus::Running => None,
-                };
-                if let Some(record) = record {
-                    self.journal(&record);
+                        },
+                        // Same sharing for cancellations that surface as
+                        // errors (e.g. a cancelled `reach` expansion).
+                        Err(transyt_session::SessionError::Cancelled) => JobStatus::Cancelled,
+                        Err(error) => JobStatus::Failed {
+                            error: error.to_string(),
+                        },
+                    };
+                    (status, Some(result))
+                }
+            };
+            if let (Some(store), Some(result), JobStatus::Done { .. }) =
+                (&self.persist, &result, &status)
+            {
+                // The session's hook already persisted the document before
+                // publishing the result; this re-save is the heal path for a
+                // file lost between then and now (e.g. a re-run after a
+                // disk-side eviction).
+                if let Err(e) = store.save_result_if_absent(&key, &result.text, &result.document) {
+                    eprintln!("transyt-server: persisting result of job {id}: {e}");
                 }
             }
-            self.finish(id, status, result, breach, started.elapsed());
+            self.journal(&Record::Status {
+                id,
+                status: status.clone(),
+            });
+            self.finish(id, status, result, started.elapsed());
             self.maybe_compact();
         }
     }
@@ -1094,9 +963,9 @@ mod tests {
         drain(&state);
 
         let done = state.job(id).unwrap();
-        assert_eq!(done.status, JobStatus::Done);
+        assert!(matches!(done.status, JobStatus::Done { .. }));
         let twin_view = state.job(twin).unwrap();
-        assert_eq!(twin_view.status, JobStatus::Done);
+        assert!(matches!(twin_view.status, JobStatus::Done { .. }));
         // The duplicate shares the very same result allocation.
         assert!(Arc::ptr_eq(
             done.result.as_ref().unwrap(),
@@ -1163,7 +1032,10 @@ mod tests {
         let (view, result) = state.fetch_result(a).unwrap();
         assert!(view.evicted);
         assert!(result.is_none());
-        assert_eq!(state.job(a).unwrap().status, JobStatus::Done);
+        assert!(matches!(
+            state.job(a).unwrap().status,
+            JobStatus::Done { .. }
+        ));
         // The other two still serve.
         assert!(state.fetch_result(b).unwrap().1.is_some());
         assert!(state.fetch_result(c).unwrap().1.is_some());
@@ -1185,7 +1057,10 @@ mod tests {
         assert!(result.is_none());
         assert_eq!(state.evicted_jobs(), vec![id]);
         // Status survives eviction; only the document is gone.
-        assert_eq!(state.job(id).unwrap().status, JobStatus::Done);
+        assert!(matches!(
+            state.job(id).unwrap().status,
+            JobStatus::Done { .. }
+        ));
     }
 
     /// Unique scratch data dir per test.
@@ -1234,7 +1109,7 @@ mod tests {
         // (no worker ran, no shutdown — the SIGKILL shape of the journal).
         let state = durable_state(&dir, ResultStoreConfig::default());
         let recovered_done = state.job(done).unwrap();
-        assert_eq!(recovered_done.status, JobStatus::Done);
+        assert!(matches!(recovered_done.status, JobStatus::Done { .. }));
         assert!(recovered_done.recovered);
         assert_eq!(recovered_done.result.unwrap().document, first_doc);
         let queued_a = state
@@ -1263,7 +1138,7 @@ mod tests {
         reference.add_model(RACE).unwrap();
         for (id, threads) in [(queued_a, 2), (queued_b, 3)] {
             let view = state.job(id).unwrap();
-            assert_eq!(view.status, JobStatus::Done);
+            assert!(matches!(view.status, JobStatus::Done { .. }));
             let fresh = reference
                 .run(&TaskSpec::verify(&model.hash).threads(threads))
                 .unwrap();
@@ -1296,7 +1171,7 @@ mod tests {
             state.shutdown();
         });
         let view = state.job(duplicate).unwrap();
-        assert_eq!(view.status, JobStatus::Done);
+        assert!(matches!(view.status, JobStatus::Done { .. }));
         assert_eq!(view.result.unwrap().document, first_doc);
         let stats = state.session().stats();
         assert_eq!(stats.runs_executed, runs_before, "{stats:?}");
@@ -1334,11 +1209,11 @@ mod tests {
 
         let state = durable_state(&dir, cap_one);
         let evicted = state.job(a).unwrap();
-        assert_eq!(evicted.status, JobStatus::Done);
+        assert!(matches!(evicted.status, JobStatus::Done { .. }));
         assert!(evicted.evicted, "eviction must survive the restart");
         assert!(evicted.result.is_none());
         let kept = state.job(b).unwrap();
-        assert_eq!(kept.status, JobStatus::Done);
+        assert!(matches!(kept.status, JobStatus::Done { .. }));
         assert!(kept.result.is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1428,7 +1303,10 @@ mod tests {
         );
         drain(&state);
         assert_eq!(state.queue_position(interactive), None);
-        assert!(state.jobs().iter().all(|j| j.status == JobStatus::Done));
+        assert!(state
+            .jobs()
+            .iter()
+            .all(|j| matches!(j.status, JobStatus::Done { .. })));
     }
 
     #[test]
@@ -1446,8 +1324,14 @@ mod tests {
         let id = submit(&state, spec).unwrap();
         drain(&state);
         let view = state.job(id).unwrap();
-        assert_eq!(view.status, JobStatus::BudgetExceeded);
-        let (resource, used, limit) = view.breach.clone().unwrap();
+        let JobStatus::BudgetExceeded {
+            resource,
+            used,
+            limit,
+        } = view.status
+        else {
+            panic!("expected budget_exceeded, got {}", view.status);
+        };
         assert_eq!(resource, "configs");
         assert_eq!(limit, 50);
         assert!(used >= limit, "breach reports usage at the check: {used}");

@@ -147,12 +147,24 @@ struct RunShared {
     finished: Condvar,
 }
 
+/// Completed runs the memo keeps for reuse; the oldest is dropped first.
+const MEMO_CAPACITY: usize = 64;
+
 struct Inner {
     models: Vec<CachedModel>,
     inflight: HashMap<TaskKey, Arc<RunShared>>,
     memo: VecDeque<(TaskKey, Arc<TaskResult>)>,
     stats: SessionStats,
     store: Option<Arc<dyn StoreHook>>,
+}
+
+impl Inner {
+    fn memoize(&mut self, key: TaskKey, result: Arc<TaskResult>) {
+        if self.memo.len() >= MEMO_CAPACITY {
+            self.memo.pop_front();
+        }
+        self.memo.push_back((key, result));
+    }
 }
 
 /// An embedding-friendly handle on the verification stack: a `Session` owns
@@ -203,7 +215,6 @@ struct Inner {
 /// ```
 pub struct Session {
     inner: Mutex<Inner>,
-    memo_capacity: usize,
 }
 
 impl Default for Session {
@@ -213,15 +224,8 @@ impl Default for Session {
 }
 
 impl Session {
-    /// An empty session with the default completed-run memo (64 results).
+    /// An empty session; its completed-run memo keeps 64 results.
     pub fn new() -> Session {
-        Session::with_memo_capacity(64)
-    }
-
-    /// An empty session whose completed-run memo keeps at most
-    /// `memo_capacity` results (`0` disables result reuse entirely; only
-    /// concurrent duplicates are then deduplicated).
-    pub fn with_memo_capacity(memo_capacity: usize) -> Session {
         Session {
             inner: Mutex::new(Inner {
                 models: Vec::new(),
@@ -230,7 +234,6 @@ impl Session {
                 stats: SessionStats::default(),
                 store: None,
             }),
-            memo_capacity,
         }
     }
 
@@ -389,12 +392,7 @@ impl Session {
                         text: stored.text,
                         document: stored.document,
                     });
-                    if self.memo_capacity > 0 {
-                        if inner.memo.len() >= self.memo_capacity {
-                            inner.memo.pop_front();
-                        }
-                        inner.memo.push_back((key, Arc::clone(&result)));
-                    }
+                    inner.memoize(key, Arc::clone(&result));
                     return Completion::Finished(result);
                 }
             }
@@ -469,11 +467,8 @@ impl Session {
         } else {
             None
         };
-        if cacheable && self.memo_capacity > 0 {
-            if inner.memo.len() >= self.memo_capacity {
-                inner.memo.pop_front();
-            }
-            inner.memo.push_back((key.clone(), Arc::clone(&result)));
+        if cacheable {
+            inner.memoize(key.clone(), Arc::clone(&result));
         }
         drop(inner);
         // Persist before publishing: by the time any caller observes the

@@ -22,9 +22,11 @@ use std::sync::Mutex;
 use transyt_session::content_hash;
 
 use crate::codec::{escape, unescape};
+use crate::job::JobStatus;
 
-/// One journal record: a model interning or a job state transition. The
-/// grammar is documented in `docs/SERVER.md` ("Persistence & recovery").
+/// One journal record: a model interning, a job submission, a job state
+/// transition or an eviction. The grammar is documented in `docs/SERVER.md`
+/// ("Persistence & recovery").
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Record {
     /// A model was interned; its text lives at `models/<hash>.model`.
@@ -52,45 +54,13 @@ pub enum Record {
         /// (the server then applies its default class).
         prio: String,
     },
-    /// A worker claimed the job.
-    Run {
+    /// The job moved to `status` (a `run`, `done`, `fail`, `cancel`,
+    /// `timeout` or `budget` line).
+    Status {
         /// The job id.
         id: usize,
-    },
-    /// The job completed; its document lives at `results/<result>.res`.
-    Done {
-        /// The job id.
-        id: usize,
-        /// The task-key fingerprint addressing the stored result.
-        result: String,
-    },
-    /// The job failed with an error message.
-    Fail {
-        /// The job id.
-        id: usize,
-        /// The error message.
-        error: String,
-    },
-    /// The job was cancelled.
-    Cancel {
-        /// The job id.
-        id: usize,
-    },
-    /// The job's deadline expired.
-    Timeout {
-        /// The job id.
-        id: usize,
-    },
-    /// The job's resource budget was breached and the run aborted.
-    Budget {
-        /// The job id.
-        id: usize,
-        /// The breached resource (`configs` / `zone-bytes`).
-        resource: String,
-        /// Usage observed at the breach.
-        used: usize,
-        /// The configured budget.
-        limit: usize,
+        /// The new lifecycle state.
+        status: JobStatus,
     },
     /// The job's stored result document was garbage-collected (LRU cap or
     /// TTL); fetches answer `410 Gone` after replay, like before the
@@ -143,6 +113,8 @@ fn decode_text(field: &str) -> String {
 
 impl Record {
     /// Encodes the record as its checksummed journal line (trailing `\n`).
+    /// A `Queued` status encodes to the empty string: the `job` line already
+    /// implies it, so it is never journaled.
     pub fn encode(&self) -> String {
         let body = match self {
             Record::Model { hash } => format!("v1 model {hash}"),
@@ -157,17 +129,19 @@ impl Record {
                 encode_params(params),
                 encode_text(prio)
             ),
-            Record::Run { id } => format!("v1 run {id}"),
-            Record::Done { id, result } => format!("v1 done {id} {result}"),
-            Record::Fail { id, error } => format!("v1 fail {id} {}", encode_text(error)),
-            Record::Cancel { id } => format!("v1 cancel {id}"),
-            Record::Timeout { id } => format!("v1 timeout {id}"),
-            Record::Budget {
-                id,
-                resource,
-                used,
-                limit,
-            } => format!("v1 budget {id} {} {used} {limit}", encode_text(resource)),
+            Record::Status { id, status } => match status {
+                JobStatus::Queued => return String::new(),
+                JobStatus::Running => format!("v1 run {id}"),
+                JobStatus::Done { result } => format!("v1 done {id} {result}"),
+                JobStatus::Failed { error } => format!("v1 fail {id} {}", encode_text(error)),
+                JobStatus::Cancelled => format!("v1 cancel {id}"),
+                JobStatus::TimedOut => format!("v1 timeout {id}"),
+                JobStatus::BudgetExceeded {
+                    resource,
+                    used,
+                    limit,
+                } => format!("v1 budget {id} {} {used} {limit}", encode_text(resource)),
+            },
             Record::Evict { id } => format!("v1 evict {id}"),
         };
         let crc = content_hash(&body);
@@ -202,33 +176,29 @@ impl Record {
                 // so old data dirs replay cleanly.
                 prio: tokens.next().map(decode_text).unwrap_or_default(),
             },
-            "run" => Record::Run {
-                id: id(&mut tokens)?,
-            },
-            "done" => Record::Done {
-                id: id(&mut tokens)?,
-                result: tokens.next()?.to_owned(),
-            },
-            "fail" => Record::Fail {
-                id: id(&mut tokens)?,
-                error: decode_text(tokens.next()?),
-            },
-            "cancel" => Record::Cancel {
-                id: id(&mut tokens)?,
-            },
-            "timeout" => Record::Timeout {
-                id: id(&mut tokens)?,
-            },
-            "budget" => Record::Budget {
-                id: id(&mut tokens)?,
-                resource: decode_text(tokens.next()?),
-                used: id(&mut tokens)?,
-                limit: id(&mut tokens)?,
-            },
             "evict" => Record::Evict {
                 id: id(&mut tokens)?,
             },
-            _ => return None,
+            _ => Record::Status {
+                id: id(&mut tokens)?,
+                status: match kind {
+                    "run" => JobStatus::Running,
+                    "done" => JobStatus::Done {
+                        result: tokens.next()?.to_owned(),
+                    },
+                    "fail" => JobStatus::Failed {
+                        error: decode_text(tokens.next()?),
+                    },
+                    "cancel" => JobStatus::Cancelled,
+                    "timeout" => JobStatus::TimedOut,
+                    "budget" => JobStatus::BudgetExceeded {
+                        resource: decode_text(tokens.next()?),
+                        used: id(&mut tokens)?,
+                        limit: id(&mut tokens)?,
+                    },
+                    _ => return None,
+                },
+            },
         };
         tokens.next().is_none().then_some(record)
     }
@@ -347,13 +317,17 @@ impl Journal {
         self.inner.lock().expect("journal poisoned")
     }
 
-    /// Appends one record (fsync'd when the journal was opened with fsync).
+    /// Appends one record's line (fsync'd when the journal was opened with
+    /// fsync); a record that encodes to no line writes nothing.
     ///
     /// # Errors
     ///
     /// Filesystem errors writing or syncing.
     pub fn append(&self, record: &Record) -> io::Result<()> {
         let line = record.encode();
+        if line.is_empty() {
+            return Ok(());
+        }
         let mut inner = self.lock();
         inner.file.write_all(line.as_bytes())?;
         if self.fsync {
@@ -379,7 +353,7 @@ impl Journal {
         let mut inner = self.lock();
         crate::fsio::write_atomic(&self.path, content.as_bytes(), self.fsync)?;
         inner.file = OpenOptions::new().append(true).open(&self.path)?;
-        inner.stats.entries = records.len() as u64;
+        inner.stats.entries = content.matches('\n').count() as u64;
         inner.stats.bytes = content.len() as u64;
         inner.stats.compacted_entries = inner.stats.entries;
         inner.stats.compacted_bytes = inner.stats.bytes;
@@ -403,6 +377,14 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobRecord;
+
+    fn run(id: usize) -> Record {
+        Record::Status {
+            id,
+            status: JobStatus::Running,
+        }
+    }
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -419,10 +401,15 @@ mod tests {
                 ],
                 prio: "interactive".to_owned(),
             },
-            Record::Run { id: 0 },
-            Record::Done {
+            Record::Status {
                 id: 0,
-                result: "a1b2c3d4e5f60718".to_owned(),
+                status: JobStatus::Running,
+            },
+            Record::Status {
+                id: 0,
+                status: JobStatus::Done {
+                    result: "a1b2c3d4e5f60718".to_owned(),
+                },
             },
             Record::Job {
                 id: 1,
@@ -431,17 +418,27 @@ mod tests {
                 params: Vec::new(),
                 prio: String::new(),
             },
-            Record::Fail {
+            Record::Status {
                 id: 1,
-                error: "model error: no `property` line & spaces".to_owned(),
+                status: JobStatus::Failed {
+                    error: "model error: no `property` line & spaces".to_owned(),
+                },
             },
-            Record::Cancel { id: 2 },
-            Record::Timeout { id: 3 },
-            Record::Budget {
+            Record::Status {
+                id: 2,
+                status: JobStatus::Cancelled,
+            },
+            Record::Status {
+                id: 3,
+                status: JobStatus::TimedOut,
+            },
+            Record::Status {
                 id: 4,
-                resource: "zone-bytes".to_owned(),
-                used: 1_048_640,
-                limit: 1_048_576,
+                status: JobStatus::BudgetExceeded {
+                    resource: "zone-bytes".to_owned(),
+                    used: 1_048_640,
+                    limit: 1_048_576,
+                },
             },
             Record::Evict { id: 0 },
         ]
@@ -474,7 +471,7 @@ mod tests {
             assert_eq!(decoded, record);
         }
         // A flipped byte fails the checksum.
-        let line = Record::Run { id: 7 }.encode();
+        let line = run(7).encode();
         let tampered = line.replace("run 7", "run 8");
         assert_eq!(Record::decode(tampered.trim_end_matches('\n')), None);
         assert_eq!(Record::decode(""), None);
@@ -504,7 +501,7 @@ mod tests {
         assert_eq!(stats.torn_bytes_dropped, 14);
         assert_eq!(stats.bytes as usize, intact);
         // The torn tail is physically gone: appends after recovery decode.
-        journal.append(&Record::Run { id: 4 }).unwrap();
+        journal.append(&run(4)).unwrap();
         drop(journal);
         let (reopened, replayed) = Journal::open(&path, false).unwrap();
         assert_eq!(replayed.len(), sample_records().len() + 1);
@@ -516,12 +513,12 @@ mod tests {
     fn a_corrupt_line_drops_that_line_and_everything_after() {
         let dir = crate::test_dir("journal-corrupt");
         let path = dir.join("journal.log");
-        let good = Record::Run { id: 1 }.encode();
+        let good = run(1).encode();
         let bad = "v1 run 2 0000000000000000\n"; // wrong checksum
-        let after = Record::Run { id: 3 }.encode();
+        let after = run(3).encode();
         fs::write(&path, format!("{good}{bad}{after}")).unwrap();
         let (journal, replayed) = Journal::open(&path, false).unwrap();
-        assert_eq!(replayed, vec![Record::Run { id: 1 }]);
+        assert_eq!(replayed, vec![run(1)]);
         assert_eq!(
             journal.stats().torn_bytes_dropped as usize,
             bad.len() + after.len()
@@ -534,28 +531,213 @@ mod tests {
         let dir = crate::test_dir("journal-compact");
         let path = dir.join("journal.log");
         let (journal, _) = Journal::open(&path, false).unwrap();
-        let filler = Record::Fail {
+        let filler = Record::Status {
             id: 0,
-            error: "x".repeat(200),
+            status: JobStatus::Failed {
+                error: "x".repeat(200),
+            },
         };
         while !journal.should_compact() {
             journal.append(&filler).unwrap();
         }
         assert!(journal.stats().bytes > COMPACT_MIN_BYTES);
-        journal.rewrite(&[Record::Run { id: 0 }]).unwrap();
+        journal.rewrite(&[run(0)]).unwrap();
         assert!(!journal.should_compact());
         let stats = journal.stats();
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.compacted_bytes, stats.bytes);
         // The rewritten file replays to exactly the compacted records, and
         // post-compaction appends land after them.
-        journal.append(&Record::Cancel { id: 0 }).unwrap();
+        let cancel = Record::Status {
+            id: 0,
+            status: JobStatus::Cancelled,
+        };
+        journal.append(&cancel).unwrap();
         drop(journal);
         let (_, replayed) = Journal::open(&path, false).unwrap();
-        assert_eq!(
-            replayed,
-            vec![Record::Run { id: 0 }, Record::Cancel { id: 0 }]
-        );
+        assert_eq!(replayed, vec![run(0), cancel]);
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One line per record kind plus a pre-priority `job` line, exactly as
+    /// the encoder before the shared `JobStatus` wrote them. Each must
+    /// decode to the current types and re-encode to the bytes that encoder
+    /// wrote.
+    const GOLDEN_LINES: &[&str] = &[
+        "v1 model 5a0c3d1e9b7f2468 26677443c204d557",
+        "v1 job 0 verify 5a0c3d1e9b7f2468 threads=2&trace=true interactive 8a05996044c89380",
+        "v1 job 1 zones 5a0c3d1e9b7f2468 - - 7d46f7fac569f0e1",
+        "v1 job 3 verify 00ff00ff00ff00ff threads=2 e4be60f427b4a7f7",
+        "v1 run 0 741c4ff7206a71a5",
+        "v1 done 0 a1b2c3d4e5f60718 68d7dbfe0360ab5a",
+        "v1 fail 1 model%20error%3A%20no%20%60property%60%20line%20%26%20spaces 8b1da1b8c7ad2483",
+        "v1 cancel 2 d9e5ad1b59ce360c",
+        "v1 timeout 3 c6789d90d9eb5a46",
+        "v1 budget 4 zone-bytes 1048640 1048576 2ed374a386797a83",
+        "v1 evict 0 133e81025fcc3301",
+    ];
+
+    #[test]
+    fn golden_lines_decode_and_re_encode_byte_for_byte() {
+        let s = |text: &str| text.to_owned();
+        let status = |id, status| Record::Status { id, status };
+        let expected = vec![
+            Record::Model {
+                hash: s("5a0c3d1e9b7f2468"),
+            },
+            Record::Job {
+                id: 0,
+                command: s("verify"),
+                model: s("5a0c3d1e9b7f2468"),
+                params: vec![(s("threads"), s("2")), (s("trace"), s("true"))],
+                prio: s("interactive"),
+            },
+            Record::Job {
+                id: 1,
+                command: s("zones"),
+                model: s("5a0c3d1e9b7f2468"),
+                params: Vec::new(),
+                prio: String::new(),
+            },
+            Record::Job {
+                id: 3,
+                command: s("verify"),
+                model: s("00ff00ff00ff00ff"),
+                params: vec![(s("threads"), s("2"))],
+                prio: String::new(),
+            },
+            status(0, JobStatus::Running),
+            status(
+                0,
+                JobStatus::Done {
+                    result: s("a1b2c3d4e5f60718"),
+                },
+            ),
+            status(
+                1,
+                JobStatus::Failed {
+                    error: s("model error: no `property` line & spaces"),
+                },
+            ),
+            status(2, JobStatus::Cancelled),
+            status(3, JobStatus::TimedOut),
+            status(
+                4,
+                JobStatus::BudgetExceeded {
+                    resource: s("zone-bytes"),
+                    used: 1_048_640,
+                    limit: 1_048_576,
+                },
+            ),
+            Record::Evict { id: 0 },
+        ];
+        assert_eq!(GOLDEN_LINES.len(), expected.len());
+        for (line, record) in GOLDEN_LINES.iter().zip(&expected) {
+            assert_eq!(Record::decode(line).as_ref(), Some(record), "{line}");
+            let reencoded = record.encode();
+            // The pre-priority line re-encodes with an explicit empty class
+            // token, as the previous encoder also did; every other line
+            // comes back byte for byte.
+            if line.starts_with("v1 job 3 ") {
+                assert_eq!(
+                    reencoded,
+                    "v1 job 3 verify 00ff00ff00ff00ff threads=2 - 26c322b8dc70c1e8\n"
+                );
+            } else {
+                assert_eq!(reencoded, format!("{line}\n"));
+            }
+        }
+        // `Queued` is implied by the `job` line and never journaled.
+        assert_eq!(status(0, JobStatus::Queued).encode(), "");
+    }
+
+    /// A journal as the encoder before the shared `JobStatus` wrote it,
+    /// with a duplicate model record, out-of-order and unknown ids, and
+    /// transitions on already-terminal jobs.
+    const GOLDEN_JOURNAL: &str = "\
+v1 model 00ff00ff00ff00ff a25555776497957f
+v1 model 00ff00ff00ff00ff a25555776497957f
+v1 job 0 verify 00ff00ff00ff00ff threads=1 batch b8cca656dcf2952b
+v1 job 1 zones 00ff00ff00ff00ff threads=1 interactive f4814e6d7cca5732
+v1 job 5 zones 00ff00ff00ff00ff threads=1 batch 94e3de5d3bd79602
+v1 run 0 741c4ff7206a71a5
+v1 done 0 fp0 e62ff84c7818b95a
+v1 cancel 0 d9e5af1b59ce3972
+v1 run 1 741c4ef7206a6ff2
+v1 evict 0 133e81025fcc3301
+v1 run 99 b6a578ec14f39729
+v1 job 2 zones 00ff00ff00ff00ff threads=1 - fb7f384a442374fa
+v1 budget 2 configs 5001 5000 4c90f2db063cd353
+v1 job 3 reach 00ff00ff00ff00ff threads=1 background 2fa558d1fdc2ce08
+v1 fail 3 expanding%20%60m%60%3A%20too%20many%20markings e37540e36ab77764
+v1 done 3 fp3 401594b8c352f2ca
+v1 job 4 verify 00ff00ff00ff00ff threads=1 batch fe35b420c9a35747
+v1 run 4 741c4bf7206a6ad9
+v1 timeout 4 c678a090d9eb5f5f
+v1 job 5 verify 00ff00ff00ff00ff threads=1 batch b2ac092da08c8d54
+v1 cancel 5 d9e5ac1b59ce3459
+v1 run 5 741c4af7206a6926
+";
+
+    #[test]
+    fn a_golden_journal_folds_to_the_expected_job_table() {
+        let (records, valid) = scan(GOLDEN_JOURNAL.as_bytes());
+        assert_eq!(valid as usize, GOLDEN_JOURNAL.len(), "every line decodes");
+        // Re-encoding the decoded records reproduces the file exactly.
+        let reencoded: String = records.iter().map(Record::encode).collect();
+        assert_eq!(reencoded, GOLDEN_JOURNAL);
+
+        let (models, jobs) = crate::job::fold(&records);
+        assert_eq!(models, vec!["00ff00ff00ff00ff"]);
+        let job = |id, command: &str, prio: &str, status, evicted| JobRecord {
+            id,
+            command: command.to_owned(),
+            model: "00ff00ff00ff00ff".to_owned(),
+            params: vec![("threads".to_owned(), "1".to_owned())],
+            prio: prio.to_owned(),
+            status,
+            evicted,
+        };
+        let expected = vec![
+            job(
+                0,
+                "verify",
+                "batch",
+                JobStatus::Done {
+                    result: "fp0".to_owned(),
+                },
+                true,
+            ),
+            job(1, "zones", "interactive", JobStatus::Running, false),
+            job(
+                2,
+                "zones",
+                "",
+                JobStatus::BudgetExceeded {
+                    resource: "configs".to_owned(),
+                    used: 5_001,
+                    limit: 5_000,
+                },
+                false,
+            ),
+            job(
+                3,
+                "reach",
+                "background",
+                JobStatus::Failed {
+                    error: "expanding `m`: too many markings".to_owned(),
+                },
+                false,
+            ),
+            job(4, "verify", "batch", JobStatus::TimedOut, false),
+            job(5, "verify", "batch", JobStatus::Cancelled, false),
+        ];
+        assert_eq!(jobs, expected);
+
+        // The compacted image replays to the same table.
+        let compacted = crate::job::compaction_records(&models, &jobs);
+        let bytes: String = compacted.iter().map(Record::encode).collect();
+        let (replayed, _) = scan(bytes.as_bytes());
+        assert_eq!(crate::job::fold(&replayed), (models, jobs));
     }
 }

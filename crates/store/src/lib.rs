@@ -9,10 +9,12 @@
 //!   atomic rename, so a SIGKILL mid-write leaves the old state, never a
 //!   torn file.
 //! * A **write-ahead job [`Journal`]**: one checksummed, fsync'd record per
-//!   job state transition (`job` → `run` → `done`/`fail`/`cancel`/
-//!   `timeout`, plus `model` internings and `evict`ions). Recovery replays
-//!   the journal front to back, dropping only a torn tail; a startup
-//!   compaction and a size-triggered [`Journal::rewrite`] keep it bounded.
+//!   job submission and per [`JobStatus`] transition (`job` → `run` →
+//!   `done`/`fail`/`cancel`/`timeout`/`budget`, plus `model` internings and
+//!   `evict`ions). Recovery replays the journal front to back into
+//!   [`JobRecord`]s, dropping only a torn tail; a startup compaction and a
+//!   size-triggered [`Journal::rewrite`] keep it bounded. The same
+//!   [`JobStatus`] is what the server holds per job and serves on the wire.
 //! * The session's persistence seam: [`Store`] implements
 //!   [`transyt_session::StoreHook`], so a [`Session`] wired to a store
 //!   persists every freshly interned model and every cacheable finished
@@ -34,6 +36,7 @@
 mod codec;
 mod content;
 mod fsio;
+mod job;
 mod journal;
 
 use std::collections::HashSet;
@@ -42,9 +45,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use job::fold;
 use transyt_session::{content_hash, StoreHook, StoredResult, TaskKey, TaskResult, TaskSpec};
 
 pub use content::ResultDoc;
+pub use job::{compaction_records, JobRecord, JobStatus};
 pub use journal::{Journal, JournalStats, Record, COMPACT_MIN_BYTES};
 
 /// The journal's file name inside the data dir.
@@ -112,60 +117,6 @@ impl Drop for LockFile {
     }
 }
 
-/// A job reconstructed from the journal at [`Store::open`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RecoveredJob {
-    /// The stable job id (the pre-crash submission index).
-    pub id: usize,
-    /// The command name as journaled.
-    pub command: String,
-    /// The model's content hash.
-    pub model: String,
-    /// The textual task parameters, ready for
-    /// [`TaskSpec::parse`](transyt_session::TaskSpec::parse).
-    pub params: Vec<(String, String)>,
-    /// The journaled scheduling class name (empty when the submission
-    /// predates priorities; the server applies its default class then).
-    pub prio: String,
-    /// The last journaled lifecycle state.
-    pub status: RecoveredStatus,
-    /// The journaled error message of a failed job.
-    pub error: Option<String>,
-    /// `true` when the job's stored result was garbage-collected.
-    pub evicted: bool,
-}
-
-/// The last journaled lifecycle state of a [`RecoveredJob`]. `Queued` and
-/// `Running` jobs were interrupted by the crash; the server re-enqueues
-/// both (determinism makes the re-run produce the same document).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RecoveredStatus {
-    /// Submitted, never claimed.
-    Queued,
-    /// Claimed by a worker when the process died.
-    Running,
-    /// Completed; the document lives at `results/<result>.res`.
-    Done {
-        /// The task-key fingerprint addressing the stored result.
-        result: String,
-    },
-    /// Failed with [`RecoveredJob::error`].
-    Failed,
-    /// Cancelled.
-    Cancelled,
-    /// The deadline expired.
-    TimedOut,
-    /// The resource budget was breached.
-    BudgetExceeded {
-        /// The breached resource (`configs` / `zone-bytes`).
-        resource: String,
-        /// Usage observed at the breach.
-        used: usize,
-        /// The configured budget.
-        limit: usize,
-    },
-}
-
 /// Everything [`Store::open`] replayed from the data dir.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Recovery {
@@ -174,7 +125,7 @@ pub struct Recovery {
     /// are adopted at the end). Texts load through [`Store::model_text`].
     pub models: Vec<String>,
     /// The pre-crash job table, dense by id.
-    pub jobs: Vec<RecoveredJob>,
+    pub jobs: Vec<JobRecord>,
     /// Torn-tail bytes dropped from the journal.
     pub dropped_bytes: u64,
 }
@@ -212,7 +163,7 @@ pub struct Inspection {
     /// `(fingerprint, bytes, age)` per stored result, sorted by fingerprint.
     pub results: Vec<(String, u64, Option<Duration>)>,
     /// The replayed job table.
-    pub jobs: Vec<RecoveredJob>,
+    pub jobs: Vec<JobRecord>,
     /// Valid journal records.
     pub journal_entries: usize,
     /// Journal file bytes (including any torn tail still on disk).
@@ -220,106 +171,6 @@ pub struct Inspection {
     /// Trailing journal bytes that fail to decode (what the next
     /// read-write open will truncate).
     pub torn_bytes: u64,
-}
-
-/// Replays journal records into the model list and the dense job table.
-/// Transitions are applied defensively: out-of-order ids and transitions on
-/// already-terminal jobs are ignored rather than trusted.
-fn fold(records: &[Record]) -> (Vec<String>, Vec<RecoveredJob>) {
-    let mut models: Vec<String> = Vec::new();
-    let mut jobs: Vec<RecoveredJob> = Vec::new();
-    let terminal = |status: &RecoveredStatus| {
-        !matches!(status, RecoveredStatus::Queued | RecoveredStatus::Running)
-    };
-    for record in records {
-        match record {
-            Record::Model { hash } => {
-                if !models.iter().any(|m| m == hash) {
-                    models.push(hash.clone());
-                }
-            }
-            Record::Job {
-                id,
-                command,
-                model,
-                params,
-                prio,
-            } => {
-                if *id == jobs.len() {
-                    jobs.push(RecoveredJob {
-                        id: *id,
-                        command: command.clone(),
-                        model: model.clone(),
-                        params: params.clone(),
-                        prio: prio.clone(),
-                        status: RecoveredStatus::Queued,
-                        error: None,
-                        evicted: false,
-                    });
-                }
-            }
-            Record::Run { id } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Running;
-                    }
-                }
-            }
-            Record::Done { id, result } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Done {
-                            result: result.clone(),
-                        };
-                    }
-                }
-            }
-            Record::Fail { id, error } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Failed;
-                        job.error = Some(error.clone());
-                    }
-                }
-            }
-            Record::Cancel { id } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::Cancelled;
-                    }
-                }
-            }
-            Record::Timeout { id } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::TimedOut;
-                    }
-                }
-            }
-            Record::Budget {
-                id,
-                resource,
-                used,
-                limit,
-            } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    if !terminal(&job.status) {
-                        job.status = RecoveredStatus::BudgetExceeded {
-                            resource: resource.clone(),
-                            used: *used,
-                            limit: *limit,
-                        };
-                    }
-                }
-            }
-            Record::Evict { id } => {
-                if let Some(job) = jobs.get_mut(*id) {
-                    job.evicted = true;
-                }
-            }
-        }
-    }
-    (models, jobs)
 }
 
 fn dir_entries(dir: &Path, extension: &str) -> Vec<(String, u64, Option<Duration>)> {
@@ -548,53 +399,6 @@ impl Store {
         removed
     }
 
-    /// Builds the compacted journal representation of a recovered state:
-    /// model records, then per job its `job` record plus the terminal /
-    /// `evict` records that reproduce its status on replay.
-    pub fn compaction_records(models: &[String], jobs: &[RecoveredJob]) -> Vec<Record> {
-        let mut records: Vec<Record> = models
-            .iter()
-            .map(|hash| Record::Model { hash: hash.clone() })
-            .collect();
-        for job in jobs {
-            records.push(Record::Job {
-                id: job.id,
-                command: job.command.clone(),
-                model: job.model.clone(),
-                params: job.params.clone(),
-                prio: job.prio.clone(),
-            });
-            match &job.status {
-                RecoveredStatus::Queued => {}
-                RecoveredStatus::Running => records.push(Record::Run { id: job.id }),
-                RecoveredStatus::Done { result } => records.push(Record::Done {
-                    id: job.id,
-                    result: result.clone(),
-                }),
-                RecoveredStatus::Failed => records.push(Record::Fail {
-                    id: job.id,
-                    error: job.error.clone().unwrap_or_default(),
-                }),
-                RecoveredStatus::Cancelled => records.push(Record::Cancel { id: job.id }),
-                RecoveredStatus::TimedOut => records.push(Record::Timeout { id: job.id }),
-                RecoveredStatus::BudgetExceeded {
-                    resource,
-                    used,
-                    limit,
-                } => records.push(Record::Budget {
-                    id: job.id,
-                    resource: resource.clone(),
-                    used: *used,
-                    limit: *limit,
-                }),
-            }
-            if job.evicted {
-                records.push(Record::Evict { id: job.id });
-            }
-        }
-        records
-    }
-
     /// Offline garbage collection (`transyt store gc`): applies the same
     /// LRU-by-age + TTL rules the server applies in memory to the stored
     /// result files, marks the affected jobs evicted, sweeps orphans and
@@ -616,7 +420,7 @@ impl Store {
             if job.evicted {
                 continue;
             }
-            if let RecoveredStatus::Done { result } = &job.status {
+            if let JobStatus::Done { result } = &job.status {
                 if !live.iter().any(|(fp, _)| fp == result) {
                     // A missing file (None) is already gone; it is handled as
                     // evicted below.
@@ -653,7 +457,7 @@ impl Store {
         // table, then compact so the next open agrees.
         let mut referenced: HashSet<String> = HashSet::new();
         for job in &mut recovery.jobs {
-            if let RecoveredStatus::Done { result } = &job.status {
+            if let JobStatus::Done { result } = &job.status {
                 if !job.evicted && self.result_age(result).is_none() {
                     job.evicted = true;
                 }
@@ -663,7 +467,7 @@ impl Store {
             }
         }
         self.remove_unreferenced(&referenced);
-        self.compact(&Store::compaction_records(&recovery.models, &recovery.jobs))?;
+        self.compact(&compaction_records(&recovery.models, &recovery.jobs))?;
         Ok(GcReport {
             removed,
             kept: referenced.len(),
@@ -755,6 +559,10 @@ mod tests {
     use super::*;
     use transyt_session::TaskSpec;
 
+    fn status(id: usize, status: JobStatus) -> Record {
+        Record::Status { id, status }
+    }
+
     fn job_record(id: usize, command: &str) -> Record {
         Record::Job {
             id,
@@ -777,29 +585,33 @@ mod tests {
             job_record(0, "verify"),
             job_record(1, "zones"),
             job_record(5, "zones"), // out-of-order id: ignored
-            Record::Run { id: 0 },
-            Record::Done {
-                id: 0,
-                result: "fp0".to_owned(),
-            },
-            Record::Cancel { id: 0 }, // transition on a terminal job: ignored
-            Record::Run { id: 1 },
+            status(0, JobStatus::Running),
+            status(
+                0,
+                JobStatus::Done {
+                    result: "fp0".to_owned(),
+                },
+            ),
+            status(0, JobStatus::Cancelled), // transition on a terminal job: ignored
+            status(1, JobStatus::Running),
             Record::Evict { id: 0 },
-            Record::Run { id: 99 }, // unknown id: ignored
+            status(99, JobStatus::Running), // unknown id: ignored
             job_record(2, "zones"),
-            Record::Budget {
-                id: 2,
-                resource: "configs".to_owned(),
-                used: 5_001,
-                limit: 5_000,
-            },
+            status(
+                2,
+                JobStatus::BudgetExceeded {
+                    resource: "configs".to_owned(),
+                    used: 5_001,
+                    limit: 5_000,
+                },
+            ),
         ]);
         assert_eq!(models, vec!["aa"]);
         assert_eq!(jobs.len(), 3);
         assert_eq!(jobs[2].prio, "batch");
         assert_eq!(
             jobs[2].status,
-            RecoveredStatus::BudgetExceeded {
+            JobStatus::BudgetExceeded {
                 resource: "configs".to_owned(),
                 used: 5_001,
                 limit: 5_000,
@@ -807,12 +619,12 @@ mod tests {
         );
         assert_eq!(
             jobs[0].status,
-            RecoveredStatus::Done {
+            JobStatus::Done {
                 result: "fp0".to_owned()
             }
         );
         assert!(jobs[0].evicted);
-        assert_eq!(jobs[1].status, RecoveredStatus::Running);
+        assert_eq!(jobs[1].status, JobStatus::Running);
         assert!(!jobs[1].evicted);
     }
 
@@ -880,7 +692,9 @@ mod tests {
                     prio: "batch".to_owned(),
                 })
                 .unwrap();
-            store.append(&Record::Done { id, result: fp }).unwrap();
+            store
+                .append(&status(id, JobStatus::Done { result: fp }))
+                .unwrap();
             jobs.push(id);
         }
         // An orphan file no job references.

@@ -110,23 +110,23 @@ for _ in $(seq 1 200); do
   [ "$(job_field 1 status)" = running ] && break
   sleep 0.05
 done
-RUNNING=$(job_field 1 status)
-QUEUED=$(http_get /jobs | python3 -c "
-import json, sys
-print(sum(1 for j in json.load(sys.stdin)['jobs'] if j['status'] == 'queued'))")
-echo "at kill time: job 1 is $RUNNING, $QUEUED jobs queued"
-[ "$RUNNING" = running ] || { echo "job 1 not running at kill time" >&2; exit 1; }
-[ "$QUEUED" -ge 2 ] || { echo "fewer than 2 jobs queued at kill time" >&2; exit 1; }
-
 kill -9 "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
 SERVER_PID=""
 echo "SIGKILLed the server mid-queue"
 
-# The crashed dir is inspectable offline.
+# The crashed dir is inspectable offline. Its job table is the state the
+# kill left behind, so the mid-queue shape is checked there: reading it
+# over HTTP before the kill races the worker, which may finish job 1 and
+# drain the queue while the checks run.
 "$BINARY" store ls --data-dir "$DATA_DIR" > "$REPORT_DIR/store-ls-post-crash.txt"
 grep -q '#0 done verify' "$REPORT_DIR/store-ls-post-crash.txt" \
   || { echo "store ls does not list the completed job" >&2; exit 1; }
+RUNNING=$(sed -n 's/^  #1 \([a-z_]*\) .*/\1/p' "$REPORT_DIR/store-ls-post-crash.txt")
+QUEUED=$(grep -c '^  #[0-9]* queued ' "$REPORT_DIR/store-ls-post-crash.txt" || true)
+echo "at kill time: job 1 is $RUNNING, $QUEUED jobs queued"
+[ "$RUNNING" = running ] || { echo "job 1 not running at kill time" >&2; exit 1; }
+[ "$QUEUED" -ge 2 ] || { echo "fewer than 2 jobs queued at kill time" >&2; exit 1; }
 
 # ---- Phase 2: restart over the same dir; everything recovers. ----
 start_server "$REPORT_DIR/serve-2.log"
