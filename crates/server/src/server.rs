@@ -1,7 +1,7 @@
 //! The HTTP front end: socket handling, routing and the worker pool.
 
 use std::io::{self, BufReader, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -90,7 +90,6 @@ impl ServerHandle {
     /// Initiates a graceful shutdown and waits for the server to finish.
     pub fn shutdown(self) -> io::Result<()> {
         self.state.shutdown();
-        wake(self.addr);
         self.thread.join().expect("server thread panicked")
     }
 }
@@ -151,27 +150,10 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates socket errors from the accept loop, after the same
-    /// graceful shutdown.
+    /// Propagates socket errors from the accept loop.
     pub fn run(self) -> io::Result<()> {
         crate::sys::install_shutdown_signals();
-        // The accept loop blocks, so a watcher turns a signal into the same
-        // shutdown plus wake-up connection `POST /shutdown` uses.
-        let state = Arc::clone(&self.state);
-        let addr = self.addr;
-        let watcher = thread::spawn(move || {
-            while !state.is_shutdown() {
-                if crate::sys::signal_received() {
-                    state.shutdown();
-                    wake(addr);
-                    return;
-                }
-                thread::sleep(Duration::from_millis(20));
-            }
-        });
-        let served = self.run_inner();
-        watcher.join().expect("signal watcher panicked");
-        served
+        self.run_inner(true)
     }
 
     /// Runs the server on a background thread (no signal handlers — for
@@ -179,7 +161,7 @@ impl Server {
     pub fn spawn(self) -> ServerHandle {
         let state = Arc::clone(&self.state);
         let addr = self.addr;
-        let thread = thread::spawn(move || self.run_inner());
+        let thread = thread::spawn(move || self.run_inner(false));
         ServerHandle {
             state,
             addr,
@@ -187,54 +169,39 @@ impl Server {
         }
     }
 
-    fn run_inner(self) -> io::Result<()> {
+    fn run_inner(self, watch_signals: bool) -> io::Result<()> {
         let mut workers = Vec::with_capacity(self.workers);
         for _ in 0..self.workers {
             let state = Arc::clone(&self.state);
             workers.push(thread::spawn(move || state.worker_loop()));
         }
 
-        // Blocking accept, so a request is handed off the moment it
-        // arrives. Whatever shuts the server down (a signal, `POST
-        // /shutdown`, `ServerHandle::shutdown`) sets the state's flag and
-        // then wakes this loop with a connection of its own.
-        let mut served = Ok(());
-        for stream in self.listener.incoming() {
-            if self.state.is_shutdown() {
+        // Non-blocking accept so the loop can observe shutdown (from a
+        // signal or `POST /shutdown`) without another connection arriving.
+        self.listener.set_nonblocking(true)?;
+        loop {
+            if self.state.is_shutdown() || (watch_signals && crate::sys::signal_received()) {
                 break;
             }
-            match stream {
-                Ok(stream) => {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
                     let state = Arc::clone(&self.state);
                     thread::spawn(move || handle_connection(&state, stream));
                 }
-                Err(e) => {
-                    served = Err(e);
-                    break;
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    thread::sleep(Duration::from_millis(20));
                 }
+                Err(e) => return Err(e),
             }
         }
 
-        // Idempotent: cancels queued jobs and wakes idle workers (and the
-        // signal watcher, after a socket error).
+        // Idempotent: cancels queued jobs and wakes idle workers.
         self.state.shutdown();
         for worker in workers {
             worker.join().expect("worker thread panicked");
         }
-        served
+        Ok(())
     }
-}
-
-/// Unblocks the accept loop, which re-checks the shutdown flag after every
-/// connection it accepts.
-fn wake(mut addr: SocketAddr) {
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 fn handle_connection(state: &ServerState, stream: TcpStream) {
@@ -263,12 +230,6 @@ fn handle_connection(state: &ServerState, stream: TcpStream) {
         Err(e) => error_response(400, &format!("bad request: {e}")),
     };
     let _ = response.write_to(&mut stream);
-    // `POST /shutdown` only flags the state: wake the blocked accept loop.
-    if state.is_shutdown() {
-        if let Ok(addr) = stream.local_addr() {
-            wake(addr);
-        }
-    }
 }
 
 /// Streams a job's event log as server-sent events (`data: <json>\n\n`

@@ -634,10 +634,9 @@ impl ServerState {
         Some(inner.jobs[id].record.status.clone())
     }
 
-    /// Asks the worker pool (and the accept loop, which checks
-    /// [`is_shutdown`](Self::is_shutdown) after every connection) to stop.
-    /// Running jobs finish (or observe their cancel token); queued jobs are
-    /// cancelled.
+    /// Asks the worker pool (and the accept loop polling
+    /// [`is_shutdown`](Self::is_shutdown)) to stop. Running jobs finish
+    /// (or observe their cancel token); queued jobs are cancelled.
     pub fn shutdown(&self) {
         let mut inner = self.lock();
         inner.shutdown = true;

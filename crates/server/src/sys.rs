@@ -13,7 +13,7 @@ pub fn signal_received() -> bool {
 }
 
 /// The async-signal-safe handler: a single atomic store, observed by the
-/// signal watcher's next poll.
+/// accept loop's next poll.
 unsafe extern "C" fn on_signal(_signum: i32) {
     SIGNAL.store(true, Ordering::SeqCst);
 }
